@@ -1,7 +1,9 @@
 //! Transient-failure layer benchmarks: the cost of the deterministic
 //! retry/backoff policy on a single-snapshot scan at increasing failure
-//! rates (0, 5%, 20%), and the cost of persisting one snapshot checkpoint
-//! artifact (encode + atomic write + fsync-free rename).
+//! rates (0, 5%, 20%), and the cost of the delta engine's per-append
+//! artifact persist (encode + SHA-256 + atomic write + fsync-free rename)
+//! of a full 31-snapshot study, with and without the delta-evidence tail
+//! section that makes the artifact resumable.
 //!
 //! Rate 0 is the tentpole's zero-cost claim: the policy is consulted per
 //! target but never injects, so the delta over the bare engine bounds the
@@ -9,8 +11,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use offnet_bench::small_world;
-use offnet_core::checkpoint::{CheckpointDriver, CheckpointStore, SnapshotCheckpoint};
-use offnet_core::{study_fingerprint, StudyConfig};
+use offnet_core::{
+    artifact_fingerprint, standard_validate_options, ArtifactBuilder, SnapshotCorpus,
+    SnapshotEvidence, StudyConfig,
+};
 use scanner::{observe_snapshot, ScanEngine, TransientPolicy};
 use std::sync::Arc;
 
@@ -41,36 +45,42 @@ fn bench_retry(c: &mut Criterion) {
     }
     group.finish();
 
-    // Checkpoint write cost: one dense snapshot artifact, encoded and
-    // atomically persisted, as `--checkpoint-dir` pays per snapshot.
+    // Per-append persist cost: the delta engine re-persists the whole
+    // artifact after every append, tail section included. Timed at its
+    // largest, the full 31-snapshot study with the t=30 evidence.
     let engine = ScanEngine::rapid7();
-    let config = StudyConfig::default();
     let series = offnet_bench::small_study();
-    let snap = series
-        .snapshots
-        .last()
-        .expect("study has snapshots")
-        .clone();
-    let ckpt = SnapshotCheckpoint {
-        snapshot_idx: snap.snapshot_idx,
-        processed: true,
-        result: snap,
-        netflix_initial: series.netflix.initial.len(),
-        netflix_with_expired: series.netflix.with_expired.len(),
-        netflix_with_non_tls: series.netflix.with_non_tls.len(),
-        netflix_ip_history: Vec::new(),
-        evidence: None,
-        report: None,
+    let mut builder = ArtifactBuilder::new(
+        engine.id,
+        series.header_fps.clone(),
+        artifact_fingerprint(world, &engine, &StudyConfig::default()),
+    );
+    for snap in &series.snapshots {
+        let ip_to_as = world.ip_to_as(snap.snapshot_idx);
+        builder.push_snapshot(snap.clone(), |ip| ip_to_as.lookup(ip).to_vec());
+    }
+    let evidence = {
+        let obs = observe_snapshot(world, &engine, t).expect("snapshot in corpus");
+        let chain_rows = obs.cert.chain_digests();
+        let ctx = offnet_bench::small_ctx();
+        let corpus = SnapshotCorpus::build(&obs, &ctx.roots, &standard_validate_options(), None);
+        SnapshotEvidence::build(&corpus, chain_rows)
     };
-    let dir = std::env::temp_dir().join(format!("offnet-bench-ckpt-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("offnet-bench-persist-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let fp = study_fingerprint(world, &engine, &config, CheckpointDriver::Sequential);
-    let store = CheckpointStore::open(&dir, fp).expect("open store");
+    builder.attach_path(dir.join("rapid7.offna"));
 
-    let mut group = c.benchmark_group("checkpoint");
+    let mut group = c.benchmark_group("artifact");
     group.sample_size(10);
-    group.bench_function("save_snapshot_artifact", |b| {
-        b.iter(|| store.save(std::hint::black_box(&ckpt)).expect("save"))
+    group.bench_function("persist_with_tail", |b| {
+        b.iter(|| {
+            builder
+                .persist(Some(std::hint::black_box(&evidence)))
+                .expect("persist")
+        })
+    });
+    group.bench_function("persist_without_tail", |b| {
+        b.iter(|| builder.persist(None).expect("persist"))
     });
     group.finish();
     let _ = std::fs::remove_dir_all(&dir);

@@ -3,17 +3,16 @@
 //!
 //! Usage:
 //!   reproduce [--scale small|paper|large] [--seed N] [--csv DIR]
-//!             [--threads N] [--sequential] [--incremental]
+//!             [--threads N] [--incremental]
 //!             [--fault-rate R] [--fault-seed N] [--transient-rate R]
-//!             [--checkpoint-dir DIR] [--resume | --no-resume]
 //!             [--shard-size N] [--spill-dir DIR] [--artifact-out DIR]
-//!             <experiment|all>
+//!             [--resume] <experiment|all>
 //!
 //! With `--csv DIR`, figure series are additionally written as CSV files
 //! for external plotting. Studies run on a snapshot-parallel pipeline with
-//! a shared certificate-validation cache by default; `--threads N` pins
-//! the worker count (default: available parallelism, or `OFFNET_THREADS`)
-//! and `--sequential` restores the single-threaded uncached driver.
+//! a shared certificate-validation cache; `--threads N` pins the worker
+//! count (default: available parallelism, or `OFFNET_THREADS`). Rendered
+//! output is byte-identical at every thread count.
 //!
 //! `--incremental` runs the studies through the delta engine instead:
 //! snapshot N is diffed against N−1 and only dirty HG×AS cells are
@@ -31,15 +30,6 @@
 //! breakers; the `quality` experiment prints the scan-health accounting.
 //! At rate 0 the rendered output is byte-identical to a run without the
 //! flag.
-//!
-//! `--checkpoint-dir DIR` persists each study snapshot's result into
-//! `DIR/<engine>/snap_NNNN.ckpt` as it completes, and (by default) resumes
-//! from whatever completed prefix the directory already holds — so a
-//! killed run continues where it stopped, byte-identical to an
-//! uninterrupted one. `--no-resume` wipes the directory's artifacts first;
-//! `--resume` spells out the default. Checkpointing runs the sequential
-//! driver (or the delta engine under `--incremental`); it is not available
-//! for the snapshot-parallel driver.
 //!
 //! Experiments: table2 table3 table4 fig2 fig3 fig4 fig5 fig6 fig7 fig8
 //! fig9 fig10 fig11 fig12 fig13 fig14 certlifetimes validate ablation
@@ -60,7 +50,17 @@
 //! result artifact at `DIR/<engine>.offna` as it completes. Rendering a
 //! loaded artifact is byte-identical to rendering the live study (pinned
 //! by `tests/artifact.rs`), and `offnet-query` serves footprint queries
-//! straight from the frozen file.
+//! straight from the frozen file. Without `--resume` an existing file is
+//! replaced.
+//!
+//! `--resume` (which needs `--incremental --artifact-out DIR`) makes the
+//! artifact the resume point: under `--incremental` the artifact is
+//! re-persisted after every snapshot together with the delta engine's
+//! latest evidence, so a killed run relaunched with the same flags plus
+//! `--resume` adopts `DIR/<engine>.offna` and continues diffing from the
+//! first missing snapshot, byte-identical to an uninterrupted run (pinned
+//! by `tests/resume.rs`). A corrupt or mismatched artifact is a typed
+//! error naming the fix: delete the file or rerun without `--resume`.
 //!
 //! `corpus-stats` prints the interned-corpus memory accounting,
 //! `cache-stats` the validation-cache and delta-engine reuse counters,
@@ -87,12 +87,10 @@ struct Cli {
     seed: u64,
     csv_dir: Option<std::path::PathBuf>,
     threads: usize,
-    sequential: bool,
     incremental: bool,
     fault_rate: f64,
     fault_seed: u64,
     transient_rate: f64,
-    checkpoint_dir: Option<std::path::PathBuf>,
     resume: bool,
     shard_size: Option<usize>,
     spill_dir: Option<std::path::PathBuf>,
@@ -116,13 +114,11 @@ fn parse_args() -> Cli {
     let mut seed = 7u64;
     let mut csv_dir = None;
     let mut threads = default_thread_count();
-    let mut sequential = false;
     let mut incremental = false;
     let mut fault_rate = 0.0f64;
     let mut fault_seed = 1u64;
     let mut transient_rate = 0.0f64;
-    let mut checkpoint_dir = None;
-    let mut resume = true;
+    let mut resume = false;
     let mut shard_size = None;
     let mut spill_dir = None;
     let mut artifact_out = None;
@@ -151,7 +147,6 @@ fn parse_args() -> Cli {
                     .expect("threads must be an integer");
                 threads = threads.max(1);
             }
-            "--sequential" => sequential = true,
             "--incremental" => incremental = true,
             "--fault-rate" => {
                 fault_rate = args
@@ -182,13 +177,7 @@ fn parse_args() -> Cli {
                     "transient rate must be in [0, 1]"
                 );
             }
-            "--checkpoint-dir" => {
-                checkpoint_dir = Some(std::path::PathBuf::from(
-                    args.next().expect("--checkpoint-dir needs a directory"),
-                ))
-            }
             "--resume" => resume = true,
-            "--no-resume" => resume = false,
             "--shard-size" => {
                 let n: usize = args
                     .next()
@@ -210,7 +199,7 @@ fn parse_args() -> Cli {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: reproduce [--scale small|paper|large] [--seed N] [--threads N] [--sequential] [--incremental] [--fault-rate R] [--fault-seed N] [--transient-rate R] [--checkpoint-dir DIR] [--resume|--no-resume] [--shard-size N] [--spill-dir DIR] [--artifact-out DIR] <experiment...|all>"
+                    "usage: reproduce [--scale small|paper|large] [--seed N] [--csv DIR] [--threads N] [--incremental] [--fault-rate R] [--fault-seed N] [--transient-rate R] [--shard-size N] [--spill-dir DIR] [--artifact-out DIR] [--resume] <experiment...|all>"
                 );
                 std::process::exit(0);
             }
@@ -220,20 +209,18 @@ fn parse_args() -> Cli {
     if experiments.is_empty() {
         experiments.push("all".to_owned());
     }
-    if sequential && incremental {
-        panic!("--sequential and --incremental are mutually exclusive");
+    if resume && !(incremental && artifact_out.is_some()) {
+        panic!("--resume needs --incremental and --artifact-out DIR");
     }
     Cli {
         scale,
         seed,
         csv_dir,
         threads,
-        sequential,
         incremental,
         fault_rate,
         fault_seed,
         transient_rate,
-        checkpoint_dir,
         resume,
         shard_size,
         spill_dir,
@@ -254,11 +241,10 @@ fn emit_csv(cli: &Cli, name: &str, headers: &[&str], rows: &[Vec<String>]) {
 struct Fixtures {
     world: HgWorld,
     threads: usize,
-    sequential: bool,
     incremental: bool,
     faults: Option<std::sync::Arc<scanner::FaultPlan>>,
     transients: Option<std::sync::Arc<scanner::TransientPolicy>>,
-    checkpoint_dir: Option<std::path::PathBuf>,
+    /// Adopt and extend each study's existing artifact (`--resume`).
     resume: bool,
     /// Streaming sharded processing for every study, when `--shard-size`
     /// was given.
@@ -321,11 +307,9 @@ impl Fixtures {
         Fixtures {
             world: HgWorld::generate(config),
             threads: cli.threads,
-            sequential: cli.sequential,
             incremental: cli.incremental,
             faults,
             transients,
-            checkpoint_dir: cli.checkpoint_dir.clone(),
             resume: cli.resume,
             sharding,
             artifact_dir: cli.artifact_out.clone(),
@@ -349,26 +333,6 @@ impl Fixtures {
         }
     }
 
-    /// Open (and under `--no-resume`, clear) the per-engine checkpoint
-    /// store for this run's exact configuration.
-    fn checkpoint_store(
-        &self,
-        dir: &std::path::Path,
-        engine: &ScanEngine,
-        config: &StudyConfig,
-        driver: offnet_core::CheckpointDriver,
-    ) -> offnet_core::CheckpointStore {
-        let fp = offnet_core::study_fingerprint(&self.world, engine, config, driver);
-        let store = or_die(offnet_core::CheckpointStore::open(
-            dir.join(engine.id.name().to_lowercase()),
-            fp,
-        ));
-        if !self.resume {
-            or_die(store.wipe());
-        }
-        store
-    }
-
     fn study(
         &self,
         engine: ScanEngine,
@@ -385,47 +349,14 @@ impl Fixtures {
             ..config.clone()
         };
         let start = Instant::now();
-        let checkpointed = self.checkpoint_dir.is_some();
-        let (series, reports) = if let Some(dir) = &self.checkpoint_dir {
-            if self.incremental {
-                let store = self.checkpoint_store(
-                    dir,
-                    &engine,
-                    config,
-                    offnet_core::CheckpointDriver::Incremental,
-                );
-                let inc = or_die(offnet_core::run_study_incremental_checkpointed(
-                    &self.world,
-                    &engine,
-                    config,
-                    store,
-                ));
-                (inc.series, Some(inc.reports))
-            } else {
-                // Checkpoints need snapshot-ordered processing; the
-                // snapshot-parallel driver cannot provide it, so a plain
-                // `--checkpoint-dir` runs the sequential driver.
-                let store = self.checkpoint_store(
-                    dir,
-                    &engine,
-                    config,
-                    offnet_core::CheckpointDriver::Sequential,
-                );
-                (
-                    or_die(offnet_core::run_study_checkpointed(
-                        &self.world,
-                        &engine,
-                        config,
-                        &store,
-                    )),
-                    None,
-                )
-            }
-        } else if self.incremental {
-            let inc = run_study_incremental(&self.world, &engine, config);
+        let (series, reports) = if self.incremental {
+            let inc = match &artifact_out {
+                Some(path) if self.resume => {
+                    or_die(resume_study(&self.world, engine, config, path))
+                }
+                _ => run_study_incremental(&self.world, &engine, config),
+            };
             (inc.series, Some(inc.reports))
-        } else if self.sequential {
-            (run_study(&self.world, &engine, config), None)
         } else {
             (
                 run_study_parallel(&self.world, &engine, config, self.threads),
@@ -434,13 +365,11 @@ impl Fixtures {
         };
         let mut mode = if self.incremental {
             "incremental delta engine".to_owned()
-        } else if self.sequential || checkpointed {
-            "sequential".to_owned()
         } else {
             format!("{} threads + validation cache", self.threads)
         };
-        if checkpointed {
-            mode.push_str(", checkpointed");
+        if self.resume {
+            mode.push_str(", resumed from artifact");
         }
         if let Some(s) = &self.sharding {
             mode.push_str(&format!(", sharded ({} endpoints/shard)", s.shard_size));
@@ -503,14 +432,30 @@ impl Fixtures {
     }
 }
 
-/// Unwrap a checkpoint-layer result, or print the typed error (which
-/// carries its own remediation: delete the checkpoint dir or pass
-/// `--no-resume`) and exit with a distinct status.
-fn or_die<T>(r: Result<T, offnet_core::CheckpointError>) -> T {
+/// Run one study through the delta engine on top of the artifact at
+/// `path`: adopt what it holds, append every missing snapshot, and
+/// re-persist it after each.
+fn resume_study(
+    world: &HgWorld,
+    engine: ScanEngine,
+    config: &StudyConfig,
+    path: &std::path::Path,
+) -> Result<offnet_core::IncrementalStudy, offnet_core::ArtifactError> {
+    let mut driver = DeltaStudyEngine::new(world, engine, config).with_artifact(path)?;
+    for t in config.snapshots.0..=config.snapshots.1.min(world.n_snapshots() - 1) {
+        driver.try_append_snapshot(t)?;
+    }
+    Ok(driver.finish())
+}
+
+/// Unwrap an artifact-layer result, or print the typed error (which
+/// carries its own remediation: delete the artifact file or rerun without
+/// `--resume`) and exit with a distinct status.
+fn or_die<T>(r: Result<T, offnet_core::ArtifactError>) -> T {
     match r {
         Ok(v) => v,
         Err(e) => {
-            eprintln!("[reproduce] checkpoint error: {e}");
+            eprintln!("[reproduce] artifact error: {e}");
             std::process::exit(2);
         }
     }

@@ -30,7 +30,7 @@ pub fn small_study() -> &'static StudySeries {
 /// per-snapshot scalars, sorted validation stats, every per-HG result in
 /// `ALL_HGS` order, the Netflix restoration series, the learned header
 /// fingerprints, and the study-wide quality table. The equivalence tests
-/// (`tests/incremental.rs`, `tests/transient.rs`, `tests/checkpoint.rs`)
+/// (`tests/incremental.rs`, `tests/transient.rs`, `tests/resume.rs`)
 /// all pin byte-identity through this one renderer, so any divergence
 /// between drivers — full vs incremental, clean vs zero-rate transients,
 /// uninterrupted vs killed-and-resumed — must surface here.

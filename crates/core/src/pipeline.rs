@@ -372,30 +372,6 @@ pub(crate) fn build_quality_report(
     q
 }
 
-/// Process independent snapshots across the worker pool, returning
-/// results in input order.
-///
-/// Each snapshot runs `process_snapshot` with the per-HG fan-out forced
-/// sequential (the parallelism budget is spent at the snapshot level, not
-/// squared), sharing `ctx.validation_cache` if one is attached. Output is
-/// byte-identical to mapping `process_snapshot` sequentially.
-pub fn process_snapshots_parallel(
-    observations: &[SnapshotObservations],
-    ctx: &PipelineContext,
-) -> Vec<SnapshotResult> {
-    let inner = ctx.clone().with_threads(1);
-    parallel_map_isolated(observations, ctx.threads, 1, |obs| {
-        process_snapshot(obs, &inner)
-    })
-    .into_iter()
-    .zip(observations)
-    .map(|(outcome, obs)| match outcome {
-        Ok(result) => result,
-        Err(e) => SnapshotResult::degraded(obs.snapshot_idx, e.message),
-    })
-    .collect()
-}
-
 /// Extract each confirmed set (collapsing the result for external use).
 pub fn confirmed_footprint(result: &SnapshotResult, hg: Hg) -> &BTreeSet<AsId> {
     &result.per_hg[&hg].confirmed_ases

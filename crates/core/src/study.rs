@@ -1,8 +1,7 @@
 //! Longitudinal study driver: the full 2013-10 … 2021-04 analysis over one
 //! scan engine, including the §6.2 Netflix restorations.
 
-use crate::artifact::{artifact_fingerprint, ArtifactBuilder, ArtifactError};
-use crate::checkpoint::{CheckpointError, CheckpointStore, SnapshotCheckpoint};
+use crate::artifact::{artifact_fingerprint, ArtifactBuilder, ArtifactError, StudyArtifact};
 use crate::confirm::ConfirmMode;
 use crate::corpus::SnapshotCorpus;
 use crate::delta::{process_corpus_delta, DeltaReport, DeltaState};
@@ -72,15 +71,24 @@ pub struct NetflixVariants {
     pub with_non_tls: Vec<usize>,
 }
 
-/// One [`ArtifactBuilder`] per study run: every driver accumulates
-/// through it (snapshot results, the §6.2 fold, reuse reports), so the
-/// emitted artifact cannot drift from the in-memory series.
-fn new_builder(
+/// The set-up every driver shares: the reference header fingerprints,
+/// a [`PipelineContext`] carrying the config's pipeline knobs, and the one
+/// [`ArtifactBuilder`] the run accumulates through (snapshot results, the
+/// §6.2 fold, reuse reports), so the emitted artifact cannot drift from
+/// the in-memory series.
+fn setup(
     world: &HgWorld,
     engine: &ScanEngine,
     config: &StudyConfig,
-    header_fps: HeaderFingerprints,
-) -> ArtifactBuilder {
+) -> (PipelineContext, ArtifactBuilder) {
+    let header_fps = reference_fingerprints(world, engine, config);
+    let mut ctx = PipelineContext::new(
+        world.pki().root_store().clone(),
+        world.org_db(),
+        header_fps.clone(),
+    );
+    ctx.candidate_options = config.candidate_options.clone();
+    ctx.confirm_mode = config.confirm_mode;
     let mut builder = ArtifactBuilder::new(
         engine.id,
         header_fps,
@@ -89,13 +97,22 @@ fn new_builder(
     if let Some(path) = &config.artifact_out {
         builder.attach_path(path);
     }
-    builder
+    (ctx, builder)
+}
+
+/// The inclusive snapshot range a config asks for, clamped to the world.
+fn snapshot_range(world: &HgWorld, config: &StudyConfig) -> (usize, usize) {
+    (
+        config.snapshots.0,
+        config.snapshots.1.min(world.n_snapshots() - 1),
+    )
 }
 
 /// Seal a batch driver's builder: persist the artifact (when
-/// `artifact_out` asked for one) and unwrap the series.
+/// `artifact_out` asked for one; batch drivers write no evidence tail)
+/// and unwrap the series.
 fn seal(builder: ArtifactBuilder) -> StudySeries {
-    builder.persist().expect("study artifact write failed");
+    builder.persist(None).expect("study artifact write failed");
     builder.finish().0
 }
 
@@ -332,18 +349,9 @@ fn reference_fingerprints(
 
 /// Run the longitudinal study for `engine` over `world`.
 pub fn run_study(world: &HgWorld, engine: &ScanEngine, config: &StudyConfig) -> StudySeries {
-    let header_fps = reference_fingerprints(world, engine, config);
-    let mut ctx = PipelineContext::new(
-        world.pki().root_store().clone(),
-        world.org_db(),
-        header_fps.clone(),
-    );
-    ctx.candidate_options = config.candidate_options.clone();
-    ctx.confirm_mode = config.confirm_mode;
-
-    let mut builder = new_builder(world, engine, config, header_fps);
-
-    for t in config.snapshots.0..=config.snapshots.1.min(world.n_snapshots() - 1) {
+    let (ctx, mut builder) = setup(world, engine, config);
+    let (lo, hi) = snapshot_range(world, config);
+    for t in lo..=hi {
         if let Some(sharding) = &config.sharding {
             let outcome = process_snapshot_sharded(world, engine, t, &ctx, sharding)
                 .expect("sharded snapshot processing failed");
@@ -367,100 +375,6 @@ pub fn run_study(world: &HgWorld, engine: &ScanEngine, config: &StudyConfig) -> 
     seal(builder)
 }
 
-/// Crash-resumable variant of [`run_study`]: after each snapshot
-/// completes, its result and the §6.2 fold state are persisted into
-/// `store`; a relaunched run adopts the contiguous completed prefix and
-/// recomputes only from the first missing snapshot. The returned series
-/// is byte-identical (under [`crate::delta`]-style rendering) to an
-/// uninterrupted [`run_study`] over the same range.
-pub fn run_study_checkpointed(
-    world: &HgWorld,
-    engine: &ScanEngine,
-    config: &StudyConfig,
-    store: &CheckpointStore,
-) -> Result<StudySeries, CheckpointError> {
-    let header_fps = reference_fingerprints(world, engine, config);
-    let mut ctx = PipelineContext::new(
-        world.pki().root_store().clone(),
-        world.org_db(),
-        header_fps.clone(),
-    );
-    ctx.candidate_options = config.candidate_options.clone();
-    ctx.confirm_mode = config.confirm_mode;
-
-    let start = config.snapshots.0;
-    let end = config.snapshots.1.min(world.n_snapshots() - 1);
-
-    let mut builder = new_builder(world, engine, config, header_fps);
-    let mut next = start;
-    for ckpt in adopt_contiguous_prefix(store, start, end)? {
-        builder.adopt_checkpoint(&ckpt);
-        next = ckpt.snapshot_idx + 1;
-    }
-
-    for t in next..=end {
-        let result = if let Some(sharding) = &config.sharding {
-            match process_snapshot_sharded(world, engine, t, &ctx, sharding)? {
-                Some(result) => result,
-                None => {
-                    // Record skips too, so the completed prefix stays
-                    // contiguous in snapshot indices and the resume point
-                    // is unambiguous.
-                    store.save(&SnapshotCheckpoint::skipped(t, builder.netflix_history()))?;
-                    continue;
-                }
-            }
-        } else {
-            let Some(obs) = observe_snapshot(world, engine, t) else {
-                store.save(&SnapshotCheckpoint::skipped(t, builder.netflix_history()))?;
-                continue;
-            };
-            let corpus =
-                SnapshotCorpus::build(&obs, &ctx.roots, &standard_validate_options(), None);
-            process_corpus(&corpus, &ctx)
-        };
-        let ip_to_as = world.ip_to_as(t);
-        let (initial, with_expired, with_non_tls) =
-            builder.push_snapshot(result.clone(), |ip| ip_to_as.lookup(ip).to_vec());
-        store.save(&SnapshotCheckpoint {
-            snapshot_idx: t,
-            processed: true,
-            result,
-            netflix_initial: initial,
-            netflix_with_expired: with_expired,
-            netflix_with_non_tls: with_non_tls,
-            netflix_ip_history: builder.netflix_history(),
-            evidence: None,
-            report: None,
-        })?;
-    }
-
-    Ok(seal(builder))
-}
-
-/// Load `store` and keep the contiguous run of checkpoints starting
-/// exactly at `start` (bounded by `end`). Artifacts below `start` are
-/// ignored; the first gap ends adoption — everything past it is
-/// recomputed (and overwritten) rather than trusted out of order.
-fn adopt_contiguous_prefix(
-    store: &CheckpointStore,
-    start: usize,
-    end: usize,
-) -> Result<Vec<SnapshotCheckpoint>, CheckpointError> {
-    let mut adopted: Vec<SnapshotCheckpoint> = Vec::new();
-    for ckpt in store.load_all()? {
-        if ckpt.snapshot_idx < start {
-            continue;
-        }
-        if ckpt.snapshot_idx == start + adopted.len() && ckpt.snapshot_idx <= end {
-            adopted.push(ckpt);
-        } else {
-            break;
-        }
-    }
-    Ok(adopted)
-}
-
 /// Parallel variant of [`run_study`]: snapshots are observed and processed
 /// across `threads` workers sharing one cross-snapshot
 /// [`ValidationCache`], then the order-dependent Netflix non-TLS
@@ -472,22 +386,16 @@ pub fn run_study_parallel(
     config: &StudyConfig,
     threads: usize,
 ) -> StudySeries {
-    let header_fps = reference_fingerprints(world, engine, config);
-    let mut ctx = PipelineContext::new(
-        world.pki().root_store().clone(),
-        world.org_db(),
-        header_fps.clone(),
-    )
-    .with_threads(threads)
-    .with_validation_cache(Arc::new(ValidationCache::new()));
-    ctx.candidate_options = config.candidate_options.clone();
-    ctx.confirm_mode = config.confirm_mode;
+    let (ctx, mut builder) = setup(world, engine, config);
+    let ctx = ctx
+        .with_threads(threads)
+        .with_validation_cache(Arc::new(ValidationCache::new()));
 
     // Observe + process each snapshot independently; alongside the result,
     // record the AS origins of its HTTP-only IPs so the observation bundle
     // can be dropped before the sequential fold below.
-    let ts: Vec<usize> =
-        (config.snapshots.0..=config.snapshots.1.min(world.n_snapshots() - 1)).collect();
+    let (lo, hi) = snapshot_range(world, config);
+    let ts: Vec<usize> = (lo..=hi).collect();
     let inner = ctx.clone().with_threads(1);
     type SnapOut = (SnapshotResult, Vec<(u32, Vec<AsId>)>);
     // Per-snapshot panic isolation: a worker that dies past its retry
@@ -531,7 +439,6 @@ pub fn run_study_parallel(
 
     // The §6.2 non-TLS restoration consults the cumulative IP history, so
     // it must run in snapshot order — but it is cheap set arithmetic.
-    let mut builder = new_builder(world, engine, config, header_fps);
     for (result, http_only_origins) in outputs.into_iter().flatten() {
         let origin_map: std::collections::HashMap<u32, Vec<AsId>> =
             http_only_origins.into_iter().collect();
@@ -563,6 +470,11 @@ pub struct IncrementalStudy {
 /// Chain validation always runs through a shared [`ValidationCache`], so
 /// §4.1 work on persisted chains is a skeleton replay; the per-snapshot
 /// replay/reverify split lands in each [`DeltaReport`].
+///
+/// With an artifact attached ([`Self::with_artifact`]) the engine is
+/// crash-resumable: every append re-persists the artifact together with
+/// its latest delta evidence, and a relaunched engine adopts the file and
+/// continues diffing where the killed one stopped.
 #[derive(Clone)]
 pub struct DeltaStudyEngine<'w> {
     world: &'w HgWorld,
@@ -577,33 +489,21 @@ pub struct DeltaStudyEngine<'w> {
     /// Cache (hits, misses) totals at the end of the previous append, so
     /// each report carries per-snapshot deltas.
     cache_mark: (u64, u64),
-    /// Checkpoint persistence, when attached via [`Self::with_checkpoints`].
-    store: Option<CheckpointStore>,
-    /// Snapshot indices adopted from checkpoints at construction, with the
-    /// `processed` flag each artifact recorded. Appends for these indices
-    /// return the recorded outcome instead of recomputing.
-    adopted: std::collections::BTreeMap<usize, bool>,
-    /// The study range from construction — adoption only trusts a
-    /// contiguous prefix starting exactly at `first_snapshot`.
-    first_snapshot: usize,
-    last_snapshot: usize,
+    /// The last snapshot index an adopted artifact covers: appends up to
+    /// it return the recorded outcome instead of recomputing.
+    adopted_through: Option<usize>,
+    /// The study range from construction; an adopted artifact must lie
+    /// inside it.
+    range: (usize, usize),
     /// Streaming sharded processing, when the config asks for it.
     sharding: Option<ShardingConfig>,
 }
 
 impl<'w> DeltaStudyEngine<'w> {
     pub fn new(world: &'w HgWorld, engine: ScanEngine, config: &StudyConfig) -> Self {
-        let header_fps = reference_fingerprints(world, &engine, config);
+        let (ctx, builder) = setup(world, &engine, config);
         let cache = Arc::new(ValidationCache::new());
-        let mut ctx = PipelineContext::new(
-            world.pki().root_store().clone(),
-            world.org_db(),
-            header_fps.clone(),
-        )
-        .with_validation_cache(cache.clone());
-        ctx.candidate_options = config.candidate_options.clone();
-        ctx.confirm_mode = config.confirm_mode;
-        let builder = new_builder(world, &engine, config, header_fps);
+        let ctx = ctx.with_validation_cache(cache.clone());
         Self {
             world,
             engine,
@@ -612,72 +512,81 @@ impl<'w> DeltaStudyEngine<'w> {
             state: None,
             builder,
             cache_mark: (0, 0),
-            store: None,
-            adopted: std::collections::BTreeMap::new(),
-            first_snapshot: config.snapshots.0,
-            last_snapshot: config.snapshots.1.min(world.n_snapshots() - 1),
+            adopted_through: None,
+            range: snapshot_range(world, config),
             sharding: config.sharding.clone(),
         }
     }
 
-    /// Attach a checkpoint store and adopt whatever contiguous completed
-    /// prefix it holds: adopted snapshots' results, reuse reports, fold
-    /// state, and the last processed snapshot's delta evidence are
-    /// restored, so the first live append diffs against it exactly as an
-    /// uninterrupted run would. An adopted artifact without evidence (or
-    /// a prefix ending in skips) simply degrades the next append to a
-    /// full compute — correct, just slower.
-    pub fn with_checkpoints(mut self, store: CheckpointStore) -> Result<Self, CheckpointError> {
-        for ckpt in adopt_contiguous_prefix(&store, self.first_snapshot, self.last_snapshot)? {
-            self.adopted.insert(ckpt.snapshot_idx, ckpt.processed);
-            self.builder.adopt_checkpoint(&ckpt);
-            if ckpt.processed {
-                self.builder.push_report(ckpt.report.unwrap_or(DeltaReport {
-                    snapshot_idx: ckpt.snapshot_idx,
-                    full_compute: true,
-                    ..Default::default()
-                }));
-                self.state = ckpt.evidence.map(|evidence| DeltaState {
-                    evidence,
-                    result: ckpt.result,
-                });
-            }
-        }
-        self.store = Some(store);
-        Ok(self)
-    }
-
-    /// Attach `path` as the on-disk [`crate::artifact::StudyArtifact`]
-    /// this engine appends to. When a valid artifact (written under the
-    /// same config fingerprint) already exists there, its snapshots are
-    /// adopted: appends for those indices return the recorded outcome
-    /// without recomputing, and later appends extend the artifact in
-    /// place — each one re-persisted atomically. A missing file starts a
-    /// fresh artifact; a mismatched or corrupt one is a typed
-    /// [`ArtifactError`]. The artifact stores results, not delta
-    /// evidence, so the first live append after adoption is a full
-    /// compute — correct, just slower, exactly like resuming from a
-    /// checkpoint prefix whose tail has no evidence.
+    /// Attach `path` as the on-disk [`StudyArtifact`] this engine appends
+    /// to — the resume point. When a valid artifact (written under the
+    /// same config fingerprint) already exists there and nothing has been
+    /// appended yet, it is adopted: appends up to its last snapshot return
+    /// the recorded outcome without recomputing (snapshots it lacks were
+    /// skipped by the run that wrote it), and later appends extend it in
+    /// place, each one re-persisted atomically. Its delta-evidence tail
+    /// restores the engine's diff state, so the first live append is a
+    /// delta, not a full compute; an artifact without one (a batch
+    /// driver's) makes that append a full compute — correct, just slower.
+    ///
+    /// A missing file starts a fresh artifact. A mismatched or corrupt one,
+    /// or one holding a snapshot outside this engine's study range, is a
+    /// typed [`ArtifactError`].
     pub fn with_artifact(
         mut self,
         path: impl Into<std::path::PathBuf>,
     ) -> Result<Self, ArtifactError> {
-        let adopted = self.builder.adopt_from_path(path)?;
-        let mut missing_reports = Vec::new();
-        for (i, s) in self.builder.snapshots().iter().enumerate().take(adopted) {
-            self.adopted.insert(s.snapshot_idx, true);
-            // An artifact written by a batch driver carries no reuse
-            // reports; synthesize full-compute markers so reports stay
-            // aligned with snapshots.
-            if i >= self.builder.reports().len() {
-                missing_reports.push(s.snapshot_idx);
-            }
+        let path = path.into();
+        self.builder.attach_path(&path);
+        if !path.exists() || !self.builder.snapshots().is_empty() {
+            return Ok(self);
         }
-        for snapshot_idx in missing_reports {
+        let artifact = StudyArtifact::load_expecting(&path, self.builder.fingerprint())?;
+        let (lo, hi) = self.range;
+        if let Some(s) = artifact
+            .snapshots
+            .iter()
+            .find(|s| !(lo..=hi).contains(&s.snapshot_idx))
+        {
+            return Err(ArtifactError::RangeMismatch {
+                path,
+                snapshot_idx: s.snapshot_idx,
+                range: self.range,
+            });
+        }
+        let evidence = self.builder.adopt(artifact);
+        // An artifact written by a batch driver carries no reuse reports;
+        // synthesize full-compute markers so reports stay aligned with
+        // snapshots.
+        let missing: Vec<usize> = self
+            .builder
+            .snapshots()
+            .iter()
+            .skip(self.builder.reports().len())
+            .map(|s| s.snapshot_idx)
+            .collect();
+        for snapshot_idx in missing {
             self.builder.push_report(DeltaReport {
                 snapshot_idx,
                 full_compute: true,
                 ..Default::default()
+            });
+        }
+        let last = self.builder.snapshots().last();
+        self.adopted_through = last.map(|s| s.snapshot_idx);
+        if let (Some(evidence), Some(result)) = (evidence, last) {
+            if evidence.snapshot_idx != result.snapshot_idx {
+                return Err(ArtifactError::Corrupt {
+                    path,
+                    detail: format!(
+                        "evidence for snapshot {} but the last snapshot is {}",
+                        evidence.snapshot_idx, result.snapshot_idx
+                    ),
+                });
+            }
+            self.state = Some(DeltaState {
+                evidence,
+                result: result.clone(),
             });
         }
         Ok(self)
@@ -688,20 +597,21 @@ impl<'w> DeltaStudyEngine<'w> {
     /// engine's corpus does not cover `t` — the same snapshots
     /// `run_study` skips.
     ///
-    /// With no checkpoint store attached this cannot fail; prefer
-    /// [`Self::try_append_snapshot`] when one is.
+    /// Panics when the attached artifact cannot be written or a sharded
+    /// segment cannot be spilled; [`Self::try_append_snapshot`] returns
+    /// those errors instead.
     pub fn append_snapshot(&mut self, t: usize) -> bool {
         self.try_append_snapshot(t)
-            .expect("checkpoint persistence failed")
+            .unwrap_or_else(|e| panic!("study append failed: {e}"))
     }
 
-    /// [`Self::append_snapshot`] with checkpoint persistence surfaced:
-    /// the snapshot's artifact is written (atomically) after processing,
-    /// and appends for snapshots adopted at construction return their
-    /// recorded outcome without recomputing.
-    pub fn try_append_snapshot(&mut self, t: usize) -> Result<bool, CheckpointError> {
-        if let Some(&processed) = self.adopted.get(&t) {
-            return Ok(processed);
+    /// [`Self::append_snapshot`] with persistence failures surfaced: the
+    /// attached artifact is re-persisted (atomically, evidence tail
+    /// included) after processing, and appends for snapshots an adopted
+    /// artifact covers return their recorded outcome without recomputing.
+    pub fn try_append_snapshot(&mut self, t: usize) -> Result<bool, ArtifactError> {
+        if self.adopted_through.is_some_and(|last| t <= last) {
+            return Ok(self.builder.snapshots().iter().any(|s| s.snapshot_idx == t));
         }
         let outcome = if let Some(sharding) = &self.sharding {
             process_snapshot_sharded_delta(
@@ -730,12 +640,6 @@ impl<'w> DeltaStudyEngine<'w> {
             None
         };
         let Some((result, evidence, mut report)) = outcome else {
-            if let Some(store) = &self.store {
-                store.save(&SnapshotCheckpoint::skipped(
-                    t,
-                    self.builder.netflix_history(),
-                ))?;
-            }
             return Ok(false);
         };
         let (hits, misses) = self.cache.hit_stats();
@@ -745,29 +649,14 @@ impl<'w> DeltaStudyEngine<'w> {
 
         // The §6.2 Netflix fold, identical to `run_study`'s.
         let ip_to_as = self.world.ip_to_as(t);
-        let (initial, with_expired, with_non_tls) = self
-            .builder
+        self.builder
             .push_snapshot(result.clone(), |ip| ip_to_as.lookup(ip).to_vec());
-
-        if let Some(store) = &self.store {
-            store.save(&SnapshotCheckpoint {
-                snapshot_idx: t,
-                processed: true,
-                result: result.clone(),
-                netflix_initial: initial,
-                netflix_with_expired: with_expired,
-                netflix_with_non_tls: with_non_tls,
-                netflix_ip_history: self.builder.netflix_history(),
-                evidence: Some(evidence.clone()),
-                report: Some(report),
-            })?;
-        }
-
-        self.state = Some(DeltaState { evidence, result });
         self.builder.push_report(report);
+        self.state = Some(DeltaState { evidence, result });
         // Re-persist after every append, so the on-disk artifact always
-        // reflects the grown prefix.
-        self.builder.persist().expect("study artifact write failed");
+        // reflects the grown prefix and resumes as a delta.
+        self.builder
+            .persist(self.state.as_ref().map(|s| &s.evidence))?;
         Ok(true)
     }
 
@@ -782,7 +671,9 @@ impl<'w> DeltaStudyEngine<'w> {
     }
 
     pub fn finish(self) -> IncrementalStudy {
-        self.builder.persist().expect("study artifact write failed");
+        self.builder
+            .persist(self.state.as_ref().map(|s| &s.evidence))
+            .expect("study artifact write failed");
         let (series, reports) = self.builder.finish();
         IncrementalStudy { series, reports }
     }
@@ -798,31 +689,11 @@ pub fn run_study_incremental(
     config: &StudyConfig,
 ) -> IncrementalStudy {
     let mut driver = DeltaStudyEngine::new(world, engine.clone(), config);
-    for t in config.snapshots.0..=config.snapshots.1.min(world.n_snapshots() - 1) {
+    let (lo, hi) = snapshot_range(world, config);
+    for t in lo..=hi {
         driver.append_snapshot(t);
     }
     driver.finish()
-}
-
-/// Crash-resumable variant of [`run_study_incremental`]: every appended
-/// snapshot persists its result *and* the delta engine's evidence into
-/// `store`, so a relaunched run adopts the completed prefix and resumes
-/// diffing from the first missing snapshot — still incremental, not a
-/// full recompute. The rendered series is byte-identical to an
-/// uninterrupted run; only the reuse reports' validation-cache counters
-/// differ (the cache restarts cold).
-pub fn run_study_incremental_checkpointed(
-    world: &HgWorld,
-    engine: &ScanEngine,
-    config: &StudyConfig,
-    store: CheckpointStore,
-) -> Result<IncrementalStudy, CheckpointError> {
-    let mut driver =
-        DeltaStudyEngine::new(world, engine.clone(), config).with_checkpoints(store)?;
-    for t in config.snapshots.0..=config.snapshots.1.min(world.n_snapshots() - 1) {
-        driver.try_append_snapshot(t)?;
-    }
-    Ok(driver.finish())
 }
 
 #[cfg(test)]

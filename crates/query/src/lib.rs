@@ -326,6 +326,14 @@ mod tests {
             netflix_ip_history: vec![],
             header_fps: Default::default(),
             reports: vec![],
+            // A delta-evidence tail, which the borrowed load must skip.
+            evidence: Some(offnet_core::SnapshotEvidence {
+                snapshot_idx: 6,
+                cert_rows: vec![(1, 2), (3, 4)],
+                banner_rows: vec![(1, 5)],
+                chain_rows: vec![],
+                per_hg: Default::default(),
+            }),
         }
     }
 

@@ -6,8 +6,7 @@
 use hgsim::{Hg, HgWorld, ScenarioConfig, ALL_HGS};
 use offnet_core::study::learn_reference_fingerprints;
 use offnet_core::{
-    process_snapshot, process_snapshots_parallel, run_study, run_study_parallel, PipelineContext,
-    StudyConfig, ValidationCache,
+    process_snapshot, run_study, run_study_parallel, PipelineContext, StudyConfig, ValidationCache,
 };
 use scanner::{observe_snapshot, ScanEngine};
 use std::sync::{Arc, OnceLock};
@@ -40,8 +39,10 @@ fn parallel_snapshots_match_sequential() {
         .with_threads(4)
         .with_validation_cache(Arc::new(ValidationCache::new()));
 
+    // The parallel side fans each snapshot's HGs over four workers and
+    // shares one validation cache across all three snapshots.
     let seq: Vec<_> = obs.iter().map(|o| process_snapshot(o, &seq_ctx)).collect();
-    let par = process_snapshots_parallel(&obs, &par_ctx);
+    let par: Vec<_> = obs.iter().map(|o| process_snapshot(o, &par_ctx)).collect();
 
     assert_eq!(seq.len(), par.len());
     for (s, p) in seq.iter().zip(&par) {
@@ -113,13 +114,13 @@ fn cached_study_matches_sequential_study() {
 fn thread_count_does_not_change_results() {
     let w = world();
     let engine = ScanEngine::rapid7();
-    let obs = vec![observe_snapshot(w, &engine, 30).expect("snapshot in corpus")];
+    let obs = observe_snapshot(w, &engine, 30).expect("snapshot in corpus");
     let mut reference: Option<Vec<netsim::AsId>> = None;
     for threads in [1usize, 2, 7] {
         let ctx = base_ctx()
             .with_threads(threads)
             .with_validation_cache(Arc::new(ValidationCache::new()));
-        let result = &process_snapshots_parallel(&obs, &ctx)[0];
+        let result = process_snapshot(&obs, &ctx);
         let google: Vec<netsim::AsId> = result.per_hg[&Hg::Google]
             .confirmed_ases
             .iter()
@@ -181,7 +182,7 @@ fn shared_cache_is_hit_across_snapshots() {
     // sequentially so each stage of that ladder is visible.
     for t in [28usize, 29, 30] {
         let obs = observe_snapshot(w, &engine, t).expect("snapshot in corpus");
-        let _ = process_snapshots_parallel(std::slice::from_ref(&obs), &ctx);
+        let _ = process_snapshot(&obs, &ctx);
         let stats = cache.stats();
         match t {
             28 => {

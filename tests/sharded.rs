@@ -1,7 +1,7 @@
 //! Streaming sharded pipeline equivalence: at `--scale small`, a study
 //! processed through bounded-memory spilled segments must render
 //! **byte-identically** to the in-memory path — across the sequential,
-//! parallel, checkpointed, and incremental (delta) drivers, with faults
+//! parallel, and incremental (delta) drivers, with faults
 //! injected, and when segments are reused from a previous run.
 
 use hgsim::{HgWorld, ScenarioConfig};
