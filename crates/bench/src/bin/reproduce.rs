@@ -8,6 +8,11 @@
 //!             [--shard-size N] [--spill-dir DIR] [--artifact-out DIR]
 //!             [--resume] <experiment|all>
 //!
+//! A malformed command line (a missing or unparsable flag value, a rate
+//! outside [0, 1], an unknown option, scale or experiment, `--resume`
+//! without `--incremental --artifact-out DIR`) exits with status 2 and the
+//! usage line on stderr, before any world is generated.
+//!
 //! With `--csv DIR`, figure series are additionally written as CSV files
 //! for external plotting. Studies run on a snapshot-parallel pipeline with
 //! a shared certificate-validation cache; `--threads N` pins the worker
@@ -84,6 +89,8 @@ use std::time::Instant;
 
 struct Cli {
     scale: String,
+    /// The world `--scale` and `--seed` select.
+    scenario: ScenarioConfig,
     seed: u64,
     csv_dir: Option<std::path::PathBuf>,
     threads: usize,
@@ -98,18 +105,64 @@ struct Cli {
     experiments: Vec<String>,
 }
 
-/// The single source of truth for `--scale`, used by every world
-/// construction site.
-fn parse_scale(scale: &str, seed: u64) -> ScenarioConfig {
-    match scale {
-        "small" => ScenarioConfig::small().with_seed(seed),
-        "paper" => ScenarioConfig::paper().with_seed(seed),
-        "large" => ScenarioConfig::large().with_seed(seed),
-        other => panic!("unknown scale {other:?} (use small|paper|large)"),
-    }
+const USAGE: &str = "usage: reproduce [--scale small|paper|large] [--seed N] [--csv DIR] [--threads N] [--incremental] [--fault-rate R] [--fault-seed N] [--transient-rate R] [--shard-size N] [--spill-dir DIR] [--artifact-out DIR] [--resume] <experiment...|all>";
+
+/// The paper's experiments, in the order `all` runs them.
+const PAPER_EXPERIMENTS: &[&str] = &[
+    "table2",
+    "table3",
+    "table4",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig13",
+    "fig14",
+    "certlifetimes",
+    "validate",
+    "ablation",
+    "baselines",
+    "quality",
+    "hideandseek",
+];
+
+/// Diagnostics of the pipeline itself, not paper artifacts: they run only
+/// when named, so the canonical `all` report stays stable.
+const DIAGNOSTICS: &[&str] = &["corpus-stats", "cache-stats", "shard-stats"];
+
+/// The next argument as `flag`'s value, parsed.
+fn flag_value<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> Result<T, String> {
+    let value = args
+        .next()
+        .ok_or_else(|| format!("{flag} needs a value ({what})"))?;
+    value
+        .parse()
+        .map_err(|_| format!("{flag} must be {what}, got {value:?}"))
 }
 
-fn parse_args() -> Cli {
+/// A rate flag's value: a float in [0, 1].
+fn rate_value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<f64, String> {
+    let rate: f64 = flag_value(args, flag, "a rate in [0, 1]")?;
+    if !(0.0..=1.0).contains(&rate) {
+        return Err(format!("{flag} must be a rate in [0, 1], got {rate}"));
+    }
+    Ok(rate)
+}
+
+/// Parse the command line (without the program name). `--help` prints
+/// the usage line and exits; every malformed input is an `Err` naming it.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
     let mut scale = "paper".to_owned();
     let mut seed = 7u64;
     let mut csv_dir = None;
@@ -123,97 +176,63 @@ fn parse_args() -> Cli {
     let mut spill_dir = None;
     let mut artifact_out = None;
     let mut experiments = Vec::new();
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--scale" => scale = args.next().expect("--scale needs a value"),
-            "--csv" => {
-                csv_dir = Some(std::path::PathBuf::from(
-                    args.next().expect("--csv needs a directory"),
-                ))
-            }
-            "--seed" => {
-                seed = args
-                    .next()
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("seed must be an integer")
-            }
+            "--scale" => scale = flag_value(&mut args, "--scale", "small|paper|large")?,
+            "--csv" => csv_dir = Some(flag_value(&mut args, "--csv", "a directory")?),
+            "--seed" => seed = flag_value(&mut args, "--seed", "an integer")?,
             "--threads" => {
-                threads = args
-                    .next()
-                    .expect("--threads needs a value")
-                    .parse()
-                    .expect("threads must be an integer");
-                threads = threads.max(1);
+                let n: usize = flag_value(&mut args, "--threads", "an integer")?;
+                threads = n.max(1);
             }
             "--incremental" => incremental = true,
-            "--fault-rate" => {
-                fault_rate = args
-                    .next()
-                    .expect("--fault-rate needs a value")
-                    .parse()
-                    .expect("fault rate must be a float");
-                assert!(
-                    (0.0..=1.0).contains(&fault_rate),
-                    "fault rate must be in [0, 1]"
-                );
-            }
-            "--fault-seed" => {
-                fault_seed = args
-                    .next()
-                    .expect("--fault-seed needs a value")
-                    .parse()
-                    .expect("fault seed must be an integer")
-            }
-            "--transient-rate" => {
-                transient_rate = args
-                    .next()
-                    .expect("--transient-rate needs a value")
-                    .parse()
-                    .expect("transient rate must be a float");
-                assert!(
-                    (0.0..=1.0).contains(&transient_rate),
-                    "transient rate must be in [0, 1]"
-                );
-            }
+            "--fault-rate" => fault_rate = rate_value(&mut args, "--fault-rate")?,
+            "--fault-seed" => fault_seed = flag_value(&mut args, "--fault-seed", "an integer")?,
+            "--transient-rate" => transient_rate = rate_value(&mut args, "--transient-rate")?,
             "--resume" => resume = true,
             "--shard-size" => {
-                let n: usize = args
-                    .next()
-                    .expect("--shard-size needs a value")
-                    .parse()
-                    .expect("shard size must be an integer");
-                assert!(n > 0, "shard size must be positive");
+                let n: usize = flag_value(&mut args, "--shard-size", "a positive integer")?;
+                if n == 0 {
+                    return Err("--shard-size must be a positive integer, got 0".to_owned());
+                }
                 shard_size = Some(n);
             }
-            "--spill-dir" => {
-                spill_dir = Some(std::path::PathBuf::from(
-                    args.next().expect("--spill-dir needs a directory"),
-                ))
-            }
+            "--spill-dir" => spill_dir = Some(flag_value(&mut args, "--spill-dir", "a directory")?),
             "--artifact-out" => {
-                artifact_out = Some(std::path::PathBuf::from(
-                    args.next().expect("--artifact-out needs a directory"),
-                ))
+                artifact_out = Some(flag_value(&mut args, "--artifact-out", "a directory")?)
             }
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: reproduce [--scale small|paper|large] [--seed N] [--csv DIR] [--threads N] [--incremental] [--fault-rate R] [--fault-seed N] [--transient-rate R] [--shard-size N] [--spill-dir DIR] [--artifact-out DIR] [--resume] <experiment...|all>"
-                );
+                eprintln!("{USAGE}");
                 std::process::exit(0);
             }
-            other => experiments.push(other.to_owned()),
+            other if other.starts_with('-') => return Err(format!("unknown option {other:?}")),
+            other
+                if other == "all"
+                    || PAPER_EXPERIMENTS.contains(&other)
+                    || DIAGNOSTICS.contains(&other) =>
+            {
+                experiments.push(other.to_owned())
+            }
+            other => return Err(format!("unknown experiment {other:?}")),
         }
     }
     if experiments.is_empty() {
         experiments.push("all".to_owned());
     }
     if resume && !(incremental && artifact_out.is_some()) {
-        panic!("--resume needs --incremental and --artifact-out DIR");
+        return Err("--resume needs --incremental and --artifact-out DIR".to_owned());
     }
-    Cli {
+    let scenario = match scale.as_str() {
+        "small" => ScenarioConfig::small(),
+        "paper" => ScenarioConfig::paper(),
+        "large" => ScenarioConfig::large(),
+        other => return Err(format!("unknown scale {other:?} (use small|paper|large)")),
+    }
+    .with_seed(seed);
+    Ok(Cli {
         scale,
+        scenario,
         seed,
         csv_dir,
         threads,
@@ -226,7 +245,7 @@ fn parse_args() -> Cli {
         spill_dir,
         artifact_out,
         experiments,
-    }
+    })
 }
 
 /// Write a CSV artifact when `--csv` was given.
@@ -263,7 +282,6 @@ struct Fixtures {
 
 impl Fixtures {
     fn new(cli: &Cli) -> Self {
-        let config = parse_scale(&cli.scale, cli.seed);
         eprintln!(
             "[reproduce] generating world (scale={}, seed={})...",
             cli.scale, cli.seed
@@ -305,7 +323,7 @@ impl Fixtures {
             offnet_core::ShardingConfig::new(size, dir)
         });
         Fixtures {
-            world: HgWorld::generate(config),
+            world: HgWorld::generate(cli.scenario.clone()),
             threads: cli.threads,
             incremental: cli.incremental,
             faults,
@@ -462,87 +480,56 @@ fn or_die<T>(r: Result<T, offnet_core::ArtifactError>) -> T {
 }
 
 fn main() {
-    let cli = parse_args();
+    let cli = match parse_args(std::env::args().skip(1)) {
+        Ok(cli) => cli,
+        Err(e) => {
+            eprintln!("[reproduce] usage error: {e}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
     let fx = Fixtures::new(&cli);
     let all = cli.experiments.iter().any(|e| e == "all");
-    let want = |name: &str| all || cli.experiments.iter().any(|e| e == name);
+    let named = |name: &str| cli.experiments.iter().any(|e| e == name);
+    for &name in PAPER_EXPERIMENTS {
+        if all || named(name) {
+            run_experiment(name, &fx, &cli);
+        }
+    }
+    for &name in DIAGNOSTICS {
+        if named(name) {
+            run_experiment(name, &fx, &cli);
+        }
+    }
+}
 
-    if want("table2") {
-        table2(&fx);
-    }
-    if want("table3") {
-        table3(&fx);
-    }
-    if want("table4") {
-        table4(&fx);
-    }
-    if want("fig2") {
-        fig2(&fx, &cli);
-    }
-    if want("fig3") {
-        fig3(&fx, &cli);
-    }
-    if want("fig4") {
-        fig4(&fx);
-    }
-    if want("fig5") {
-        fig5(&fx);
-    }
-    if want("fig6") {
-        fig6(&fx);
-    }
-    if want("fig7") {
-        fig7(&fx);
-    }
-    if want("fig8") {
-        fig8(&fx);
-    }
-    if want("fig9") {
-        fig9(&fx);
-    }
-    if want("fig10") {
-        fig10(&fx, &cli);
-    }
-    if want("fig11") {
-        fig11(&fx);
-    }
-    if want("fig12") {
-        fig12(&fx);
-    }
-    if want("fig13") {
-        fig13(&fx);
-    }
-    if want("fig14") {
-        fig14(&fx);
-    }
-    if want("certlifetimes") {
-        certlifetimes(&fx);
-    }
-    if want("validate") {
-        validate(&fx);
-    }
-    if want("ablation") {
-        ablation(&fx);
-    }
-    if want("baselines") {
-        baselines(&fx);
-    }
-    if want("quality") {
-        quality(&fx);
-    }
-    if want("hideandseek") {
-        hide_and_seek(&cli);
-    }
-    // Deliberately outside `all`: diagnostics of the pipeline itself,
-    // not paper artifacts, so the canonical `all` report stays stable.
-    if cli.experiments.iter().any(|e| e == "corpus-stats") {
-        corpus_stats(&fx);
-    }
-    if cli.experiments.iter().any(|e| e == "cache-stats") {
-        cache_stats(&fx);
-    }
-    if cli.experiments.iter().any(|e| e == "shard-stats") {
-        shard_stats(&fx);
+fn run_experiment(name: &str, fx: &Fixtures, cli: &Cli) {
+    match name {
+        "table2" => table2(fx),
+        "table3" => table3(fx),
+        "table4" => table4(fx),
+        "fig2" => fig2(fx, cli),
+        "fig3" => fig3(fx, cli),
+        "fig4" => fig4(fx),
+        "fig5" => fig5(fx),
+        "fig6" => fig6(fx),
+        "fig7" => fig7(fx),
+        "fig8" => fig8(fx),
+        "fig9" => fig9(fx),
+        "fig10" => fig10(fx, cli),
+        "fig11" => fig11(fx),
+        "fig12" => fig12(fx),
+        "fig13" => fig13(fx),
+        "fig14" => fig14(fx),
+        "certlifetimes" => certlifetimes(fx),
+        "validate" => validate(fx),
+        "ablation" => ablation(fx),
+        "baselines" => baselines(fx),
+        "quality" => quality(fx),
+        "hideandseek" => hide_and_seek(cli),
+        "corpus-stats" => corpus_stats(fx),
+        "cache-stats" => cache_stats(fx),
+        "shard-stats" => shard_stats(fx),
+        other => unreachable!("experiment {other:?} passed parse_args"),
     }
 }
 
@@ -1162,7 +1149,7 @@ fn hide_and_seek(cli: &Cli) {
     ];
     let mut body = Vec::new();
     for (label, cm) in variants {
-        let mut config = parse_scale(&cli.scale, cli.seed);
+        let mut config = cli.scenario.clone();
         if let Some(cm) = cm {
             config = config.with_countermeasure(Hg::Google, cm);
         }

@@ -141,7 +141,9 @@ pub struct GlobalHeaderStats {
 }
 
 impl GlobalHeaderStats {
-    pub fn build(records: &[HttpRecord]) -> Self {
+    /// Tally a whole record slice (tests build baselines this way).
+    #[cfg(test)]
+    pub(crate) fn build(records: &[HttpRecord]) -> Self {
         let mut s = Self::default();
         for r in records {
             s.absorb(r);
@@ -149,8 +151,7 @@ impl GlobalHeaderStats {
         s
     }
 
-    /// Fold one banner into the tally — the streaming building block
-    /// behind [`Self::build`]. Counts *everything*, standard headers
+    /// Fold one banner into the tally. Counts *everything*, standard headers
     /// included; the standard filter happens at selection time
     /// ([`learn_header_fingerprints_from_tallies`]), which is equivalent
     /// because standard entries are excluded before the top-pairs cutoff
@@ -195,11 +196,12 @@ impl GlobalHeaderStats {
     }
 }
 
-/// Learn one HG's header fingerprint from its on-net banners, judged
-/// against the global baseline. `interner` resolves symbols for the
-/// standard-header filter, the string tie-break, and the (string-typed)
-/// output fingerprint.
-pub fn learn_header_fingerprints(
+/// Learn one HG's header fingerprint from a slice of its on-net banners,
+/// judged against the global baseline: the record-slice form of
+/// [`learn_header_fingerprints_from_tallies`], kept for tests, which
+/// state small corpora as records.
+#[cfg(test)]
+pub(crate) fn learn_header_fingerprints(
     keyword: &str,
     onnet_banners: &[&HttpRecord],
     global: &GlobalHeaderStats,
@@ -212,13 +214,14 @@ pub fn learn_header_fingerprints(
     learn_header_fingerprints_from_tallies(keyword, &onnet, global, interner)
 }
 
-/// Tally-based form of [`learn_header_fingerprints`]: the on-net side
-/// arrives as a pre-accumulated [`GlobalHeaderStats`], so the sharded
-/// reference-learning pass can stream banners chunk by chunk and never
-/// hold them. Produces exactly the fingerprint the record-slice form
-/// would (the standard filter moves from count time to selection time;
-/// standard entries are discarded *before* the top-pairs cutoff, so
-/// selection sees the same ranked list either way).
+/// Learn one HG's header fingerprint from its on-net banner tally, judged
+/// against the global baseline. `interner` resolves symbols for the
+/// standard-header filter, the string tie-break, and the (string-typed)
+/// output fingerprint. Both sides arrive as pre-accumulated
+/// [`GlobalHeaderStats`], so the reference learner streams banners chunk
+/// by chunk and never holds them. Standard headers are counted but
+/// discarded *before* the top-pairs cutoff, so selection sees the ranked
+/// list a count-time filter would give.
 pub fn learn_header_fingerprints_from_tallies(
     keyword: &str,
     onnet: &GlobalHeaderStats,

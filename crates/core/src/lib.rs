@@ -66,7 +66,7 @@ pub use confirm::{
 pub use corpus::{CorpusMemoryStats, SnapshotCorpus};
 pub use delta::{CorpusDelta, DeltaReport, HgEvidence, RowDelta, SnapshotEvidence};
 pub use errors::{DataQualityReport, RecordError};
-pub use headers::{learn_header_fingerprints, HeaderFingerprint, HeaderFingerprints};
+pub use headers::{HeaderFingerprint, HeaderFingerprints};
 pub use parallel::{
     default_thread_count, parallel_map, parallel_map_isolated, parse_thread_count,
     thread_count_from_env, TaskError, ThreadConfigError,

@@ -7,8 +7,7 @@ use crate::corpus::SnapshotCorpus;
 use crate::delta::{process_corpus_delta, DeltaReport, DeltaState};
 use crate::errors::DataQualityReport;
 use crate::headers::{
-    learn_header_fingerprints, learn_header_fingerprints_from_tallies, GlobalHeaderStats,
-    HeaderFingerprints,
+    learn_header_fingerprints_from_tallies, GlobalHeaderStats, HeaderFingerprints,
 };
 use crate::parallel::parallel_map_isolated;
 use crate::pipeline::{process_corpus, standard_validate_options, PipelineContext, SnapshotResult};
@@ -18,7 +17,7 @@ use hgsim::{Endpoint, Hg, HgWorld, ALL_HGS};
 use intern::Interner;
 use netsim::AsId;
 use scanner::{covers_snapshot, observe_snapshot, HttpScanStream, ScanEngine};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Study parameters.
@@ -169,6 +168,12 @@ impl StudySeries {
     }
 }
 
+/// Endpoints per chunk when [`learn_reference_fingerprints`] streams the
+/// reference snapshot: big enough that per-chunk overhead vanishes, small
+/// enough that a chunk is a few MiB. The learned set is the same at any
+/// chunk size.
+const REFERENCE_CHUNK: usize = 20_000;
+
 /// Learn the per-HG header fingerprints from a reference snapshot's on-net
 /// banners (§4.4), using HTTPS banners where available and HTTP otherwise.
 ///
@@ -181,145 +186,102 @@ pub fn learn_reference_fingerprints(
     engine: &ScanEngine,
     reference_snapshot: usize,
 ) -> HeaderFingerprints {
-    let n = world.n_snapshots();
-    let t0 = reference_snapshot.min(n - 1);
-    // Spiral outward from the requested index: t0, t0-1, t0+1, t0-2, …
-    // (earlier-first keeps the learned set closest to the paper's
-    // September-2020 reference when the exact month is missing).
-    let mut candidates = vec![t0];
-    for d in 1..n {
-        if let Some(t) = t0.checked_sub(d) {
-            candidates.push(t);
-        }
-        if t0 + d < n {
-            candidates.push(t0 + d);
-        }
-    }
-    let mut obs = None;
-    for t in candidates {
-        if let Some(o) = observe_snapshot(world, engine, t) {
-            obs = Some(o);
-            break;
-        }
-    }
-    let Some(obs) = obs else {
-        return HeaderFingerprints::default();
-    };
-    let banner_snap = obs.https443.as_ref().or(obs.http80.as_ref());
-    let mut fps = HeaderFingerprints::default();
-    let Some(banner_snap) = banner_snap else {
-        return fps;
-    };
-    let global = GlobalHeaderStats::build(&banner_snap.records);
-    for hg in ALL_HGS {
-        let hg_ases: HashSet<AsId> = world
-            .org_db()
-            .ases_matching(hg.spec().keyword)
-            .into_iter()
-            .collect();
-        let onnet: Vec<&scanner::HttpRecord> = banner_snap
-            .records
-            .iter()
-            .filter(|r| {
-                obs.ip_to_as
-                    .lookup(r.ip)
-                    .iter()
-                    .any(|a| hg_ases.contains(a))
-            })
-            .collect();
-        fps.insert(learn_header_fingerprints(
-            hg.spec().keyword,
-            &onnet,
-            &global,
-            &obs.interner,
-        ));
-    }
-    fps
+    stream_reference_fingerprints(world, engine, reference_snapshot, REFERENCE_CHUNK)
 }
 
-/// Streaming variant of [`learn_reference_fingerprints`]: the reference
-/// snapshot's banners are scanned in `shard_size` chunks and folded into
-/// per-HG and global tallies, never held as a record slice. Because the
-/// learned fingerprints are string-typed and selection is independent of
-/// interning order (pinned by the permutation property test), the result
-/// equals the monolithic learner's.
+/// [`learn_reference_fingerprints`] streaming the reference snapshot in
+/// `shard_size` endpoint chunks, the sharded pipeline's unit of memory.
 pub fn learn_reference_fingerprints_sharded(
     world: &HgWorld,
     engine: &ScanEngine,
     reference_snapshot: usize,
     shard_size: usize,
 ) -> HeaderFingerprints {
-    let n = world.n_snapshots();
+    stream_reference_fingerprints(world, engine, reference_snapshot, shard_size)
+}
+
+/// The snapshots a reference learner tries, in order: outward from the
+/// requested index, t0, t0-1, t0+1, t0-2, … (earlier-first keeps the
+/// learned set closest to the paper's September-2020 reference when the
+/// exact month is missing).
+fn reference_spiral(reference_snapshot: usize, n: usize) -> impl Iterator<Item = usize> {
     let t0 = reference_snapshot.min(n - 1);
-    // Same spiral as the monolithic learner: t0, t0-1, t0+1, t0-2, …
-    let mut candidates = vec![t0];
-    for d in 1..n {
-        if let Some(t) = t0.checked_sub(d) {
-            candidates.push(t);
-        }
-        if t0 + d < n {
-            candidates.push(t0 + d);
-        }
-    }
-    let Some(t) = candidates.into_iter().find(|&t| covers_snapshot(engine, t)) else {
+    std::iter::once(t0).chain((1..n).flat_map(move |d| {
+        let before = t0.checked_sub(d);
+        let after = (t0 + d < n).then_some(t0 + d);
+        before.into_iter().chain(after)
+    }))
+}
+
+/// The one reference learner: the reference snapshot's endpoints are
+/// generated in `chunk` pieces and only its banner stream is scanned (no
+/// certificate scan, no second banner port), folding every banner into
+/// the global tally and the tallies of the HGs whose ASes originate its
+/// IP. Banners are never held as a record slice. The learned fingerprints
+/// are string-typed and selection is independent of interning order, so
+/// the result does not depend on the chunk size.
+fn stream_reference_fingerprints(
+    world: &HgWorld,
+    engine: &ScanEngine,
+    reference_snapshot: usize,
+    chunk: usize,
+) -> HeaderFingerprints {
+    let n = world.n_snapshots();
+    let Some(t) = reference_spiral(reference_snapshot, n).find(|&t| covers_snapshot(engine, t))
+    else {
         return HeaderFingerprints::default();
     };
-    let mut fps = HeaderFingerprints::default();
-    // Banner source matches the monolithic picker: HTTPS banners where
-    // available, HTTP otherwise; neither → empty fingerprints.
+    // HTTPS banners where the corpus has them, HTTP otherwise; neither →
+    // empty fingerprints.
     let Some(mut stream) =
         HttpScanStream::new(engine, t, 443, n).or_else(|| HttpScanStream::new(engine, t, 80, n))
     else {
-        return fps;
+        return HeaderFingerprints::default();
     };
 
+    // AS → bitmask of the HGs whose keyword its organization matches, so
+    // each banner costs one IP-to-AS lookup whatever the HG count.
+    const _: () = assert!(ALL_HGS.len() <= 32);
+    let mut hg_bits: HashMap<AsId, u32> = HashMap::new();
+    for (i, hg) in ALL_HGS.iter().enumerate() {
+        for asn in world.org_db().ases_matching(hg.spec().keyword) {
+            *hg_bits.entry(asn).or_insert(0) |= 1 << i;
+        }
+    }
     let ip_to_as = world.ip_to_as(t);
-    let hg_ases: Vec<(Hg, HashSet<AsId>)> = ALL_HGS
-        .iter()
-        .map(|&hg| {
-            (
-                hg,
-                world
-                    .org_db()
-                    .ases_matching(hg.spec().keyword)
-                    .into_iter()
-                    .collect(),
-            )
-        })
-        .collect();
 
     // One persistent interner across chunks keeps symbols consistent for
     // the cross-chunk tallies.
     let mut interner = Interner::default();
     let mut global = GlobalHeaderStats::default();
-    let mut onnet: Vec<GlobalHeaderStats> = vec![GlobalHeaderStats::default(); hg_ases.len()];
-    let shard_size = shard_size.max(1);
-    let mut chunk: Vec<Endpoint> = Vec::with_capacity(shard_size);
-    {
-        let mut absorb_chunk = |chunk: &mut Vec<Endpoint>, interner: &mut Interner| {
-            for r in stream.scan_chunk(chunk, interner) {
-                global.absorb(&r);
-                for ((_, ases), tally) in hg_ases.iter().zip(onnet.iter_mut()) {
-                    if ip_to_as.lookup(r.ip).iter().any(|a| ases.contains(a)) {
-                        tally.absorb(&r);
-                    }
-                }
+    let mut onnet = vec![GlobalHeaderStats::default(); ALL_HGS.len()];
+    let mut absorb = |eps: &mut Vec<Endpoint>, interner: &mut Interner| {
+        for r in stream.scan_chunk(eps, interner) {
+            global.absorb(&r);
+            let mut bits = ip_to_as
+                .lookup(r.ip)
+                .iter()
+                .fold(0, |bits, a| bits | hg_bits.get(a).copied().unwrap_or(0));
+            while bits != 0 {
+                onnet[bits.trailing_zeros() as usize].absorb(&r);
+                bits &= bits - 1;
             }
-            chunk.clear();
-        };
-        world.for_each_endpoint(t, |ep| {
-            chunk.push(ep);
-            if chunk.len() == shard_size {
-                absorb_chunk(&mut chunk, &mut interner);
-            }
-        });
-        if !chunk.is_empty() {
-            absorb_chunk(&mut chunk, &mut interner);
         }
-    }
+        eps.clear();
+    };
+    let chunk = chunk.max(1);
+    let mut eps: Vec<Endpoint> = Vec::with_capacity(chunk);
+    world.for_each_endpoint(t, |ep| {
+        eps.push(ep);
+        if eps.len() == chunk {
+            absorb(&mut eps, &mut interner);
+        }
+    });
+    absorb(&mut eps, &mut interner);
     stream.finish();
 
-    for ((hg, _), tally) in hg_ases.iter().zip(&onnet) {
+    let mut fps = HeaderFingerprints::default();
+    for (hg, tally) in ALL_HGS.iter().zip(&onnet) {
         fps.insert(learn_header_fingerprints_from_tallies(
             hg.spec().keyword,
             tally,
@@ -330,21 +292,17 @@ pub fn learn_reference_fingerprints_sharded(
     fps
 }
 
-/// Pick the reference-fingerprint learner the config asks for.
+/// The reference fingerprints a config's study runs with.
 fn reference_fingerprints(
     world: &HgWorld,
     engine: &ScanEngine,
     config: &StudyConfig,
 ) -> HeaderFingerprints {
-    match &config.sharding {
-        Some(s) => learn_reference_fingerprints_sharded(
-            world,
-            engine,
-            config.header_reference_snapshot,
-            s.shard_size,
-        ),
-        None => learn_reference_fingerprints(world, engine, config.header_reference_snapshot),
-    }
+    let chunk = config
+        .sharding
+        .as_ref()
+        .map_or(REFERENCE_CHUNK, |s| s.shard_size);
+    stream_reference_fingerprints(world, engine, config.header_reference_snapshot, chunk)
 }
 
 /// Run the longitudinal study for `engine` over `world`.
@@ -440,8 +398,7 @@ pub fn run_study_parallel(
     // The §6.2 non-TLS restoration consults the cumulative IP history, so
     // it must run in snapshot order — but it is cheap set arithmetic.
     for (result, http_only_origins) in outputs.into_iter().flatten() {
-        let origin_map: std::collections::HashMap<u32, Vec<AsId>> =
-            http_only_origins.into_iter().collect();
+        let origin_map: HashMap<u32, Vec<AsId>> = http_only_origins.into_iter().collect();
         builder.push_snapshot(result, |ip| {
             origin_map.get(&ip).cloned().unwrap_or_default()
         });
@@ -708,6 +665,142 @@ mod tests {
             let world = HgWorld::generate(ScenarioConfig::small());
             run_study(&world, &ScanEngine::rapid7(), &StudyConfig::default())
         })
+    }
+
+    /// The monolithic learner the streaming one replaced, rebuilt from the
+    /// record-slice helper: observe the whole first covered snapshot of
+    /// the spiral, filter each HG's on-net banners, learn from the slice.
+    fn monolithic_reference(
+        world: &HgWorld,
+        engine: &ScanEngine,
+        reference_snapshot: usize,
+    ) -> HeaderFingerprints {
+        let mut fps = HeaderFingerprints::default();
+        let Some(obs) = reference_spiral(reference_snapshot, world.n_snapshots())
+            .find_map(|t| observe_snapshot(world, engine, t))
+        else {
+            return fps;
+        };
+        let Some(banners) = obs.https443.as_ref().or(obs.http80.as_ref()) else {
+            return fps;
+        };
+        let global = GlobalHeaderStats::build(&banners.records);
+        for hg in ALL_HGS {
+            let hg_ases: std::collections::HashSet<AsId> = world
+                .org_db()
+                .ases_matching(hg.spec().keyword)
+                .into_iter()
+                .collect();
+            let onnet: Vec<&scanner::HttpRecord> = banners
+                .records
+                .iter()
+                .filter(|r| {
+                    obs.ip_to_as
+                        .lookup(r.ip)
+                        .iter()
+                        .any(|a| hg_ases.contains(a))
+                })
+                .collect();
+            fps.insert(crate::headers::learn_header_fingerprints(
+                hg.spec().keyword,
+                &onnet,
+                &global,
+                &obs.interner,
+            ));
+        }
+        fps
+    }
+
+    fn sorted(fps: &HeaderFingerprints) -> Vec<crate::HeaderFingerprint> {
+        let mut v: Vec<_> = fps.iter().cloned().collect();
+        v.sort_by(|a, b| a.keyword.cmp(&b.keyword));
+        v
+    }
+
+    fn small_world() -> &'static HgWorld {
+        static W: OnceLock<HgWorld> = OnceLock::new();
+        W.get_or_init(|| HgWorld::generate(ScenarioConfig::small()))
+    }
+
+    /// A plan that drops exactly snapshot `t` (and nothing else in the
+    /// small world's range), so learning at `t` must take the spiral.
+    fn dropping(t: usize) -> scanner::FaultPlan {
+        let n = small_world().n_snapshots();
+        (0..)
+            .map(|seed| {
+                scanner::FaultPlan::single(seed, scanner::FaultClass::DroppedSnapshot, 0.05)
+            })
+            .find(|plan| (0..n).all(|s| plan.drops_snapshot(s) == (s == t)))
+            .expect("some seed drops only t")
+    }
+
+    /// The streaming learner equals the monolithic reference for one
+    /// engine and fault set-up at t ∈ {5, 28, 30}.
+    fn assert_learner_matches_reference(
+        base: ScanEngine,
+        plan: impl Fn(usize) -> Option<scanner::FaultPlan>,
+    ) {
+        let world = small_world();
+        for t in [5, 28, 30] {
+            let engine = match plan(t) {
+                Some(p) => base.clone().with_faults(Arc::new(p)),
+                None => base.clone(),
+            };
+            let reference = sorted(&monolithic_reference(world, &engine, t));
+            assert!(reference
+                .iter()
+                .any(|fp| !fp.pairs.is_empty() || !fp.names.is_empty()));
+            let learned = sorted(&learn_reference_fingerprints(world, &engine, t));
+            assert_eq!(learned, reference, "{:?} t={t}", engine.id);
+        }
+    }
+
+    #[test]
+    fn learner_matches_monolithic_reference_rapid7_clean() {
+        assert_learner_matches_reference(ScanEngine::rapid7(), |_| None);
+    }
+
+    #[test]
+    fn learner_matches_monolithic_reference_censys_clean() {
+        assert_learner_matches_reference(ScanEngine::censys(), |_| None);
+    }
+
+    #[test]
+    fn learner_matches_monolithic_reference_rapid7_record_faults() {
+        assert_learner_matches_reference(ScanEngine::rapid7(), |_| {
+            Some(scanner::FaultPlan::uniform_record_faults(7, 0.1))
+        });
+    }
+
+    #[test]
+    fn learner_matches_monolithic_reference_censys_record_faults() {
+        assert_learner_matches_reference(ScanEngine::censys(), |_| {
+            Some(scanner::FaultPlan::uniform_record_faults(7, 0.1))
+        });
+    }
+
+    #[test]
+    fn learner_matches_monolithic_reference_rapid7_dropped_snapshot() {
+        assert_learner_matches_reference(ScanEngine::rapid7(), |t| Some(dropping(t)));
+    }
+
+    #[test]
+    fn learner_matches_monolithic_reference_censys_dropped_snapshot() {
+        assert_learner_matches_reference(ScanEngine::censys(), |t| Some(dropping(t)));
+    }
+
+    #[test]
+    fn learned_set_is_independent_of_chunk_size() {
+        let world = small_world();
+        let engine = ScanEngine::rapid7()
+            .with_faults(Arc::new(scanner::FaultPlan::uniform_record_faults(7, 0.1)));
+        let want = sorted(&learn_reference_fingerprints(world, &engine, 28));
+        for chunk in [1, 777, 20_000] {
+            let got = sorted(&learn_reference_fingerprints_sharded(
+                world, &engine, 28, chunk,
+            ));
+            assert_eq!(got, want, "chunk {chunk}");
+        }
     }
 
     #[test]

@@ -112,12 +112,7 @@ impl EndpointSet {
 /// set. This is the producer side of the sharded corpus pipeline: peak
 /// memory is one endpoint plus the IP dedup set.
 pub fn for_each_endpoint<F: FnMut(Endpoint)>(world: &HgWorld, t: usize, emit: F) {
-    let mut gen = Generator::new(world, t, emit);
-    gen.hypergiant_endpoints();
-    gen.cert_only_endpoints();
-    gen.cloudflare_customers();
-    gen.oddballs();
-    gen.background();
+    Generator::new(world, t, emit).run();
 }
 
 /// splitmix64 — cheap deterministic hashing for IP/choice derivation.
@@ -185,6 +180,11 @@ struct Generator<'a, F: FnMut(Endpoint)> {
     emit: F,
     /// Per-HG certificate profile chains for this snapshot.
     profiles: HashMap<Hg, Vec<Arc<Vec<bytes::Bytes>>>>,
+    /// Hosting-provider background chains (`bgp:{p}:{group}` labels),
+    /// issued once per label and shared by every endpoint carrying it.
+    /// Issuance is a pure function of (label, snapshot), so reuse is
+    /// exact; the map lives only as long as this one snapshot's stream.
+    provider_chains: HashMap<String, Arc<Vec<bytes::Bytes>>>,
 }
 
 impl<'a, F: FnMut(Endpoint)> Generator<'a, F> {
@@ -201,7 +201,17 @@ impl<'a, F: FnMut(Endpoint)> Generator<'a, F> {
             seen: HashSet::new(),
             emit,
             profiles,
+            provider_chains: HashMap::new(),
         }
+    }
+
+    /// Emit the whole snapshot, in generation order.
+    fn run(&mut self) {
+        self.hypergiant_endpoints();
+        self.cert_only_endpoints();
+        self.cloudflare_customers();
+        self.oddballs();
+        self.background();
     }
 
     fn push(&mut self, ep: Endpoint) {
@@ -531,22 +541,31 @@ impl<'a, F: FnMut(Endpoint)> Generator<'a, F> {
             .round() as u64;
         let alive = self.world.alive_as_cache(t);
         let n_hosting_providers = (n_bg / 400).max(1);
+        // Loop-invariant seeds, hashed once rather than per endpoint.
+        let bg_seed = hstr("bg");
+        let provider_seed = hstr("bgprov");
+        let (world, scan_time) = (self.world, self.scan_time);
         for i in 0..n_bg {
-            let salt = mix(hstr("bg") ^ i);
+            let salt = mix(bg_seed ^ i);
             let self_hosted = salt % 100 < 55;
-            let (asn, cert_label, shared_group) = if self_hosted {
+            let (asn, chain) = if self_hosted {
                 let asn = alive[(mix(salt ^ 1) % alive.len() as u64) as usize];
-                (asn, format!("bgu:{i}"), false)
+                (
+                    asn,
+                    world.background_chain(&format!("bgu:{i}"), t, scan_time),
+                )
             } else {
                 let p = mix(salt ^ 2) % n_hosting_providers;
-                let asn = alive[(mix(hstr("bgprov") ^ p) % alive.len() as u64) as usize];
+                let asn = alive[(mix(provider_seed ^ p) % alive.len() as u64) as usize];
                 let group = mix(salt ^ 3) % 12;
-                (asn, format!("bgp:{p}:{group}"), true)
+                let chain = self
+                    .provider_chains
+                    .entry(format!("bgp:{p}:{group}"))
+                    .or_insert_with_key(|label| world.background_chain(label, t, scan_time))
+                    .clone();
+                (asn, chain)
             };
             let ip = self.ip_in_as(asn, salt ^ 0xbb);
-            let chain =
-                self.world
-                    .background_chain(&cert_label, shared_group, self.t, self.scan_time);
             let headers = background_headers(salt);
             self.push(Endpoint {
                 ip,
@@ -590,4 +609,85 @@ fn background_headers(salt: u64) -> Vec<(String, String)> {
         out.push(("X-Powered-By".to_owned(), "PHP/7.4.3".to_owned()));
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ScenarioConfig;
+
+    fn chain_bytes(ep: &Endpoint) -> Vec<Vec<bytes::Bytes>> {
+        let tls = &ep.tls;
+        tls.default_chain
+            .iter()
+            .chain(tls.sni_chains.iter().map(|(_, c)| c))
+            .map(|c| c.as_ref().clone())
+            .collect()
+    }
+
+    /// Reusing hosting-provider chains within a snapshot is exact: both
+    /// entry points emit the same chains in the same order, every endpoint
+    /// of a provider label holds the one shared `Arc`, and that chain is
+    /// what a fresh issuance for the label yields.
+    #[test]
+    fn provider_chain_reuse_is_exact() {
+        const T: usize = 28;
+        let world = HgWorld::generate(ScenarioConfig::small());
+        let set = world.endpoints(T);
+        let mut streamed = Vec::new();
+        let mut gen = Generator::new(&world, T, |ep| streamed.push(ep));
+        gen.run();
+        let scan_time = gen.scan_time;
+        let provider_chains = std::mem::take(&mut gen.provider_chains);
+        drop(gen);
+        let mut via_world = Vec::new();
+        world.for_each_endpoint(T, |ep| via_world.push(ep));
+
+        assert_eq!(set.len(), streamed.len());
+        assert_eq!(set.len(), via_world.len());
+        for ((a, b), c) in set.endpoints().iter().zip(&streamed).zip(&via_world) {
+            assert_eq!(a.ip, b.ip);
+            assert_eq!(a.ip, c.ip);
+            let bytes = chain_bytes(a);
+            assert_eq!(bytes, chain_bytes(b), "ip {}", a.ip);
+            assert_eq!(bytes, chain_bytes(c), "ip {}", a.ip);
+        }
+
+        // Every provider chain equals a fresh issuance of its label.
+        assert!(
+            provider_chains.len() > 10,
+            "{} labels",
+            provider_chains.len()
+        );
+        for (label, chain) in &provider_chains {
+            assert_eq!(
+                **chain,
+                *world.background_chain(label, T, scan_time),
+                "{label}"
+            );
+        }
+
+        // Every background endpoint whose chain has a provider chain's
+        // bytes holds that very allocation, so each label is issued once.
+        let by_leaf: HashMap<&[u8], &Arc<Vec<bytes::Bytes>>> = provider_chains
+            .values()
+            .map(|c| (c[0].as_ref(), c))
+            .collect();
+        let mut shared = 0;
+        for ep in &streamed {
+            if ep.attribution != Attribution::Background {
+                continue;
+            }
+            let chain = ep.tls.default_chain.as_ref().expect("background chain");
+            if let Some(&provider) = by_leaf.get(chain[0].as_ref()) {
+                assert!(Arc::ptr_eq(provider, chain), "ip {}", ep.ip);
+                shared += 1;
+            }
+        }
+        assert!(
+            shared > 2 * provider_chains.len(),
+            "{shared} endpoints over {} provider labels",
+            provider_chains.len()
+        );
+    }
 }

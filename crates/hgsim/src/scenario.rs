@@ -509,13 +509,7 @@ impl HgWorld {
     /// 60% valid, 19% expired, 12% self-signed, 9% untrusted chain.
     /// A tiny fraction of valid background orgs contain an HG keyword
     /// ("keyword bait") to exercise the dNSName-subset filter.
-    pub fn background_chain(
-        &self,
-        label: &str,
-        _shared_group: bool,
-        t: usize,
-        scan_time: Timestamp,
-    ) -> Arc<Vec<Bytes>> {
+    pub fn background_chain(&self, label: &str, t: usize, scan_time: Timestamp) -> Arc<Vec<Bytes>> {
         let h = hstr(label);
         let class = h % 100;
         let lifetime = 365i64;
